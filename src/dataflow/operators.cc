@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace mitos::dataflow {
@@ -22,6 +23,58 @@ void ForEachDatum(const Chunk& chunk, Fn&& fn) {
 }
 
 }  // namespace
+
+namespace internal {
+
+uint32_t Int64SlotIndex::Find(int64_t key) const {
+  if (table_.empty()) return kNone;
+  const size_t mask = table_.size() - 1;
+  for (size_t i = MixInt64(static_cast<uint64_t>(key)) & mask;;
+       i = (i + 1) & mask) {
+    const Entry& e = table_[i];
+    if (e.slot == kNone || e.key == key) return e.slot;
+  }
+}
+
+uint32_t Int64SlotIndex::FindOrAdd(int64_t key) {
+  if (2 * (keys_.size() + 1) > table_.size()) Grow();
+  const size_t mask = table_.size() - 1;
+  for (size_t i = MixInt64(static_cast<uint64_t>(key)) & mask;;
+       i = (i + 1) & mask) {
+    Entry& e = table_[i];
+    if (e.slot == kNone) {
+      e = {key, static_cast<uint32_t>(keys_.size())};
+      keys_.push_back(key);
+      return e.slot;
+    }
+    if (e.key == key) return e.slot;
+  }
+}
+
+void Int64SlotIndex::Grow() {
+  MITOS_CHECK_LT(keys_.size(), size_t{kNone}) << "int64 index overflow";
+  table_.assign(std::max<size_t>(16, 2 * table_.size()), Entry{});
+  const size_t mask = table_.size() - 1;
+  for (uint32_t slot = 0; slot < keys_.size(); ++slot) {
+    size_t i = MixInt64(static_cast<uint64_t>(keys_[slot])) & mask;
+    while (table_[i].slot != kNone) i = (i + 1) & mask;
+    table_[i] = {keys_[slot], slot};
+  }
+}
+
+void Int64SlotIndex::Clear() {
+  if (keys_.empty()) return;
+  // Refill the table for the next bag, or drop it when it is far larger
+  // than the last bag needed, so a clear never costs more than O(keys).
+  if (table_.size() > 8 * keys_.size()) {
+    table_.clear();
+  } else {
+    std::fill(table_.begin(), table_.end(), Entry{});
+  }
+  keys_.clear();
+}
+
+}  // namespace internal
 
 void BagOperator::Close(int input, const EmitFn& emit) {
   (void)input;
@@ -184,23 +237,24 @@ void FlatMapOp::Finish(const EmitFn& emit) { (void)emit; }
 void ReduceByKeyOp::Open() {
   key_order_.clear();
   values_.clear();
-  key_order64_.clear();
-  values64_.clear();
+  index64_.Clear();
+  acc64_.clear();
   typed_ = columnar() && static_cast<bool>(combine_.i64);
 }
 
 void ReduceByKeyOp::DegradeToGeneric() {
-  // Replay the typed state into the boxed state, preserving first-seen key
-  // order. int64 equality and ordering agree across the two domains, so
-  // this is a pure representation change.
-  for (int64_t key : key_order64_) {
-    Datum k = Datum::Int64(key);
-    DatumVector& out = values_[k];
-    for (int64_t v : values64_.at(key)) out.push_back(Datum::Int64(v));
+  // Replay one accumulator per key into the boxed state, preserving
+  // first-seen key order. int64 equality and ordering agree across the two
+  // domains and the combiner is associative, so folding the accumulator
+  // with later values gives the same result.
+  const std::vector<int64_t>& keys = index64_.keys();
+  for (size_t slot = 0; slot < keys.size(); ++slot) {
+    Datum k = Datum::Int64(keys[slot]);
+    values_[k].push_back(Datum::Int64(acc64_[slot]));
     key_order_.push_back(std::move(k));
   }
-  key_order64_.clear();
-  values64_.clear();
+  index64_.Clear();
+  acc64_.clear();
   typed_ = false;
 }
 
@@ -212,12 +266,11 @@ void ReduceByKeyOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
       const int64_t* keys = chunk.keys();
       const int64_t* vals = chunk.vals();
       for (size_t i = 0; i < chunk.size(); ++i) {
-        auto it = values64_.find(keys[i]);
-        if (it == values64_.end()) {
-          values64_[keys[i]].push_back(vals[i]);
-          key_order64_.push_back(keys[i]);
+        const uint32_t slot = index64_.FindOrAdd(keys[i]);
+        if (slot == acc64_.size()) {
+          acc64_.push_back(vals[i]);
         } else {
-          it->second.push_back(vals[i]);
+          acc64_[slot] = combine_.i64(acc64_[slot], vals[i]);
         }
       }
       return;
@@ -241,22 +294,8 @@ void ReduceByKeyOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
 
 void ReduceByKeyOp::Finish(const EmitFn& emit) {
   if (typed_) {
-    if (key_order64_.empty()) return;
-    std::vector<int64_t> out_keys;
-    std::vector<int64_t> out_vals;
-    out_keys.reserve(key_order64_.size());
-    out_vals.reserve(key_order64_.size());
-    for (int64_t key : key_order64_) {
-      // Canonical fold order (see class comment): sort buffered values so
-      // chunk arrival order cannot change the result.
-      std::vector<int64_t>& vals = values64_.at(key);
-      std::sort(vals.begin(), vals.end());
-      int64_t acc = vals.front();
-      for (size_t i = 1; i < vals.size(); ++i) acc = combine_.i64(acc, vals[i]);
-      out_keys.push_back(key);
-      out_vals.push_back(acc);
-    }
-    emit(Chunk::OfInt64Pairs(std::move(out_keys), std::move(out_vals)));
+    if (acc64_.empty()) return;
+    emit(Chunk::OfInt64Pairs(index64_.keys(), acc64_));
     return;
   }
   if (key_order_.empty()) return;
@@ -278,13 +317,13 @@ void ReduceByKeyOp::Finish(const EmitFn& emit) {
 
 void ReduceOp::Open() {
   values_.clear();
-  values64_.clear();
+  acc64_.reset();
   typed_ = columnar() && static_cast<bool>(combine_.i64);
 }
 
 void ReduceOp::DegradeToGeneric() {
-  for (int64_t v : values64_) values_.push_back(Datum::Int64(v));
-  values64_.clear();
+  if (acc64_.has_value()) values_.push_back(Datum::Int64(*acc64_));
+  acc64_.reset();
   typed_ = false;
 }
 
@@ -293,8 +332,12 @@ void ReduceOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
   (void)emit;
   if (typed_) {
     if (chunk.rep() == Chunk::Rep::kInt64) {
+      // Eager fold; any order is exact for an i64 combiner (see
+      // ReduceByKeyOp).
       const int64_t* in = chunk.i64();
-      values64_.insert(values64_.end(), in, in + chunk.size());
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        acc64_ = acc64_.has_value() ? combine_.i64(*acc64_, in[i]) : in[i];
+      }
       return;
     }
     DegradeToGeneric();
@@ -304,14 +347,7 @@ void ReduceOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
 
 void ReduceOp::Finish(const EmitFn& emit) {
   if (typed_) {
-    if (values64_.empty()) return;
-    // Canonical fold order; int64 sort order matches Datum sort order.
-    std::sort(values64_.begin(), values64_.end());
-    int64_t acc = values64_.front();
-    for (size_t i = 1; i < values64_.size(); ++i) {
-      acc = combine_.i64(acc, values64_[i]);
-    }
-    emit(Chunk::OfInt64({acc}));
+    if (acc64_.has_value()) emit(Chunk::OfInt64({*acc64_}));
     return;
   }
   if (values_.empty()) return;
@@ -337,7 +373,18 @@ void CountOp::Finish(const EmitFn& emit) {
 }
 
 void JoinOp::Open() {
-  if (!reuse_build_) table_.clear();
+  if (reuse_build_) return;
+  table_.clear();
+  ClearTyped();
+  typed_ = columnar();
+}
+
+void JoinOp::ClearTyped() {
+  index64_.Clear();
+  head64_.clear();
+  tail64_.clear();
+  build_vals64_.clear();
+  next64_.clear();
 }
 
 void JoinOp::SetReuseInput(int input, bool reuse) {
@@ -345,25 +392,94 @@ void JoinOp::SetReuseInput(int input, bool reuse) {
   reuse_build_ = reuse;
 }
 
+void JoinOp::DegradeToGeneric() {
+  // Replay the typed table into the boxed one, keeping each key's build
+  // values in arrival order.
+  const std::vector<int64_t>& keys = index64_.keys();
+  for (size_t slot = 0; slot < keys.size(); ++slot) {
+    DatumVector& values = table_[Datum::Int64(keys[slot])];
+    for (uint32_t e = head64_[slot]; e != internal::Int64SlotIndex::kNone;
+         e = next64_[e]) {
+      values.push_back(Datum::Int64(build_vals64_[e]));
+    }
+  }
+  ClearTyped();
+  typed_ = false;
+}
+
+void JoinOp::Build(const Chunk& chunk) {
+  if (typed_) {
+    if (chunk.rep() == Chunk::Rep::kInt64Pair) {
+      const int64_t* keys = chunk.keys();
+      const int64_t* vals = chunk.vals();
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        const uint32_t slot = index64_.FindOrAdd(keys[i]);
+        const auto entry = static_cast<uint32_t>(build_vals64_.size());
+        build_vals64_.push_back(vals[i]);
+        next64_.push_back(internal::Int64SlotIndex::kNone);
+        if (slot == head64_.size()) {
+          head64_.push_back(entry);
+          tail64_.push_back(entry);
+        } else {
+          next64_[tail64_[slot]] = entry;
+          tail64_[slot] = entry;
+        }
+      }
+      return;
+    }
+    DegradeToGeneric();
+  }
+  ForEachDatum(chunk, [&](const Datum& element) {
+    MITOS_CHECK(element.is_tuple() && element.size() >= 2)
+        << "join build input is not a (key, value) pair";
+    table_[element.field(0)].push_back(element.field(1));
+  });
+}
+
+void JoinOp::EmitMatches(uint32_t slot, const Datum& key,
+                         const Datum& probe_value, DatumVector* out) const {
+  for (uint32_t e = head64_[slot]; e != internal::Int64SlotIndex::kNone;
+       e = next64_[e]) {
+    out->push_back(
+        Datum::Tuple({key, Datum::Int64(build_vals64_[e]), probe_value}));
+  }
+}
+
 void JoinOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
   if (input == 0) {
-    ForEachDatum(chunk, [&](const Datum& element) {
-      MITOS_CHECK(element.is_tuple() && element.size() >= 2)
-          << "join build input is not a (key, value) pair";
-      table_[element.field(0)].push_back(element.field(1));
-    });
+    Build(chunk);
     return;
   }
   MITOS_CHECK_EQ(input, 1);
   DatumVector out;
+  if (typed_ && chunk.rep() == Chunk::Rep::kInt64Pair) {
+    const int64_t* keys = chunk.keys();
+    const int64_t* vals = chunk.vals();
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      const uint32_t slot = index64_.Find(keys[i]);
+      if (slot == internal::Int64SlotIndex::kNone) continue;
+      EmitMatches(slot, Datum::Int64(keys[i]), Datum::Int64(vals[i]), &out);
+    }
+    EmitDatums(std::move(out), emit);
+    return;
+  }
   ForEachDatum(chunk, [&](const Datum& element) {
     MITOS_CHECK(element.is_tuple() && element.size() >= 2)
         << "join probe input is not a (key, value) pair";
-    auto it = table_.find(element.field(0));
+    const Datum& key = element.field(0);
+    if (typed_) {
+      // Only an int64 key can equal a key of the int64 table.
+      if (!key.is_int64()) return;
+      const uint32_t slot = index64_.Find(key.int64());
+      if (slot != internal::Int64SlotIndex::kNone) {
+        EmitMatches(slot, key, element.field(1), &out);
+      }
+      return;
+    }
+    auto it = table_.find(key);
     if (it == table_.end()) return;
     for (const Datum& build_value : it->second) {
-      out.push_back(
-          Datum::Tuple({element.field(0), build_value, element.field(1)}));
+      out.push_back(Datum::Tuple({key, build_value, element.field(1)}));
     }
   });
   EmitDatums(std::move(out), emit);
@@ -376,13 +492,13 @@ void UnionOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
 
 void DistinctOp::Open() {
   seen_.clear();
-  seen64_.clear();
+  seen64_.Clear();
   typed_ = columnar();
 }
 
 void DistinctOp::DegradeToGeneric() {
-  for (int64_t v : seen64_) seen_.emplace(Datum::Int64(v), true);
-  seen64_.clear();
+  for (int64_t v : seen64_.keys()) seen_.emplace(Datum::Int64(v), true);
+  seen64_.Clear();
   typed_ = false;
 }
 
@@ -393,7 +509,8 @@ void DistinctOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
       const int64_t* in = chunk.i64();
       std::vector<int64_t> out;
       for (size_t i = 0; i < chunk.size(); ++i) {
-        if (seen64_.insert(in[i]).second) out.push_back(in[i]);
+        const auto fresh = static_cast<uint32_t>(seen64_.size());
+        if (seen64_.FindOrAdd(in[i]) == fresh) out.push_back(in[i]);
       }
       if (!out.empty()) emit(Chunk::OfInt64(std::move(out)));
       return;

@@ -16,17 +16,19 @@
 // Data moves in batched Chunks (common/chunk.h). When a chunk is columnar
 // and the user function carries a matching typed fast path
 // (lang/functions.h), the hot kernels (map/filter/flatMap/reduce/
-// reduceByKey/distinct) run tight loops over the raw columns; otherwise
+// reduceByKey/distinct/join) run tight loops over the raw columns; otherwise
 // they fall back to the generic boxed-Datum path. Both paths are
 // element-equivalent by construction and cross-checked by the fuzz harness.
+// The keyed kernels (reduceByKey, join, distinct) keep their typed state in
+// one shared int64 index (internal::Int64SlotIndex).
 #ifndef MITOS_DATAFLOW_OPERATORS_H_
 #define MITOS_DATAFLOW_OPERATORS_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/chunk.h"
@@ -35,6 +37,40 @@
 #include "lang/functions.h"
 
 namespace mitos::dataflow {
+
+namespace internal {
+
+// Open-addressing hash index from int64 key to a dense slot number: the
+// typed state of the keyed kernels below, not part of the kernel interface.
+// Slots are handed out 0, 1, 2, ... in first-seen order, so keys() lists
+// the keys in that order and per-key state lives in plain vectors indexed
+// by slot — no per-key allocation.
+class Int64SlotIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  // Slot of `key`, or kNone.
+  uint32_t Find(int64_t key) const;
+  // Slot of `key`; a new key gets slot size() (as it was before the call).
+  uint32_t FindOrAdd(int64_t key);
+  size_t size() const { return keys_.size(); }
+  // Slot -> key.
+  const std::vector<int64_t>& keys() const { return keys_; }
+  // Forgets every key, in time proportional to the keys it held.
+  void Clear();
+
+ private:
+  struct Entry {
+    int64_t key = 0;
+    uint32_t slot = kNone;  // kNone marks an empty entry
+  };
+  void Grow();
+
+  std::vector<Entry> table_;  // power-of-two size, at most half full
+  std::vector<int64_t> keys_;
+};
+
+}  // namespace internal
 
 class BagOperator {
  public:
@@ -125,17 +161,20 @@ class FlatMapOp : public BagOperator {
 
 // Per-partition aggregation over (k, v) pairs; emits at Finish in
 // first-seen key order (matching lang::ReduceByKeyKernel per partition).
-// Values are buffered per key and folded in sorted order at Finish, so the
-// result is independent of chunk arrival order — bags are *unordered*
-// collections, and a canonical fold order is what makes re-executed
-// (recovered) runs byte-identical even for non-associative-in-float
-// combiners.
 //
-// Fast path: while every pushed chunk is an (int64, int64) column and the
-// combiner has an i64 variant, keys and value lists stay in raw int64
-// state; the first incompatible chunk degrades the state to the generic
-// boxed form (int64 ordering and equality are identical in both domains,
-// so results cannot differ).
+// Typed path: while every pushed chunk is an (int64, int64) column and the
+// combiner has an i64 body, each value is folded into its key's int64
+// accumulator as it arrives. The i64 contract (lang/functions.h) promises a
+// commutative, associative combiner, so any fold order gives exactly the
+// canonical sorted fold's result. The first incompatible chunk degrades the
+// state to the boxed form, one accumulator per key (int64 ordering and
+// equality are identical in both domains, so results cannot differ).
+//
+// Boxed path: values are buffered per key and folded in sorted order at
+// Finish, so the result is independent of chunk arrival order — bags are
+// *unordered* collections, and a canonical fold order is what makes
+// re-executed (recovered) runs byte-identical even for combiners that are
+// not associative in floating point (sumDouble).
 class ReduceByKeyOp : public BagOperator {
  public:
   explicit ReduceByKeyOp(lang::BinaryFn combine)
@@ -149,17 +188,18 @@ class ReduceByKeyOp : public BagOperator {
 
   lang::BinaryFn combine_;
   bool typed_ = false;
-  std::vector<int64_t> key_order64_;
-  std::unordered_map<int64_t, std::vector<int64_t>> values64_;
+  internal::Int64SlotIndex index64_;
+  std::vector<int64_t> acc64_;  // slot -> folded value
   std::vector<Datum> key_order_;
   std::unordered_map<Datum, DatumVector, DatumHash, DatumEq> values_;
 };
 
 // Folds everything it sees; emits the (single) partial at Finish, or
 // nothing when the input was empty. Used for both the local pre-fold and
-// the final fold of a global reduce. Buffers and folds in sorted order at
-// Finish (canonical order; see ReduceByKeyOp). Same typed/degrade scheme
-// as ReduceByKeyOp, over plain int64 columns.
+// the final fold of a global reduce. Same typed/boxed scheme as
+// ReduceByKeyOp, over plain int64 columns: the typed path folds eagerly
+// into one accumulator, the boxed path buffers and folds in sorted order
+// at Finish.
 class ReduceOp : public BagOperator {
  public:
   explicit ReduceOp(lang::BinaryFn combine) : combine_(std::move(combine)) {}
@@ -172,7 +212,7 @@ class ReduceOp : public BagOperator {
 
   lang::BinaryFn combine_;
   bool typed_ = false;
-  std::vector<int64_t> values64_;
+  std::optional<int64_t> acc64_;
   DatumVector values_;
 };
 
@@ -187,10 +227,16 @@ class CountOp : public BagOperator {
   int64_t count_ = 0;
 };
 
-// Hash join: input 0 builds, input 1 probes; emits (k, build_v, probe_v).
-// The build side supports loop-invariant state reuse (paper Sec. 5.3).
-// Output tuples are width-3 and never columnar, so the kernel stays on the
-// generic path.
+// Hash join: input 0 builds, input 1 probes; emits (k, build_v, probe_v)
+// tuples, per probe element in build order. The build side supports
+// loop-invariant state reuse (paper Sec. 5.3).
+//
+// Typed path: while every build chunk is an (int64, int64) column, the
+// table is int64-keyed with unboxed values, and it survives hoisted reuse.
+// (int64, int64) probe chunks probe it unboxed; boxed probe chunks look up
+// int64 field-0 keys only, since no other key can equal an int64. So a
+// probe never degrades the table; only a non-pair build chunk does. The
+// output tuples are width-3, never columnar, so they are always boxed.
 class JoinOp : public BagOperator {
  public:
   void Open() override;
@@ -201,7 +247,22 @@ class JoinOp : public BagOperator {
   int BlockingInput() const override { return 0; }
 
  private:
+  void Build(const Chunk& chunk);
+  void ClearTyped();
+  void DegradeToGeneric();
+  // Appends (key, build_v, probe_v) for every build value of `slot`.
+  void EmitMatches(uint32_t slot, const Datum& key, const Datum& probe_value,
+                   DatumVector* out) const;
+
   bool reuse_build_ = false;
+  bool typed_ = false;
+  // Typed table: the build values of slot s are the chain
+  // build_vals64_[head64_[s]], build_vals64_[next64_[...]], ...
+  internal::Int64SlotIndex index64_;
+  std::vector<uint32_t> head64_;  // slot -> first entry
+  std::vector<uint32_t> tail64_;  // slot -> last entry
+  std::vector<int64_t> build_vals64_;
+  std::vector<uint32_t> next64_;  // entry -> next entry of its key, or kNone
   std::unordered_map<Datum, DatumVector, DatumHash, DatumEq> table_;
 };
 
@@ -214,8 +275,8 @@ class UnionOp : public BagOperator {
 };
 
 // Per-partition duplicate elimination (inputs arrive hash-partitioned by
-// whole element, so global distinctness holds). int64 columns keep a raw
-// int64 seen-set; anything else degrades to the boxed set.
+// whole element, so global distinctness holds). int64 columns keep their
+// seen-set in the int64 index; anything else degrades to the boxed set.
 class DistinctOp : public BagOperator {
  public:
   void Open() override;
@@ -226,7 +287,7 @@ class DistinctOp : public BagOperator {
   void DegradeToGeneric();
 
   bool typed_ = false;
-  std::unordered_set<int64_t> seen64_;
+  internal::Int64SlotIndex seen64_;
   std::unordered_map<Datum, bool, DatumHash, DatumEq> seen_;
 };
 

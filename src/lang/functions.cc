@@ -1,10 +1,33 @@
 #include "lang/functions.h"
 
-#include <cstdlib>
+#include <cstdint>
 
 #include "common/logging.h"
 
 namespace mitos::lang {
+namespace {
+
+// Two's-complement wrapping int64 arithmetic. Signed overflow is undefined
+// behaviour; wrapping through uint64_t is defined, agrees on every engine,
+// and keeps + and * associative and commutative over all of int64, which
+// the eager typed folds (BinaryFn::i64) rely on.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+// |x|, wrapping: |INT64_MIN| is INT64_MIN.
+int64_t WrapAbs(int64_t x) { return x < 0 ? WrapSub(0, x) : x; }
+
+}  // namespace
+
 namespace fns {
 
 UnaryFn PairWithOne() {
@@ -16,9 +39,9 @@ UnaryFn PairWithOne() {
 
 BinaryFn SumInt64() {
   BinaryFn f{"sumInt64", [](const Datum& a, const Datum& b) {
-               return Datum::Int64(a.int64() + b.int64());
+               return Datum::Int64(WrapAdd(a.int64(), b.int64()));
              }};
-  f.i64 = [](int64_t a, int64_t b) { return a + b; };
+  f.i64 = WrapAdd;
   return f;
 }
 
@@ -72,17 +95,17 @@ UnaryFn Identity() {
 UnaryFn AddInt64(int64_t delta) {
   UnaryFn f{"addInt64(" + std::to_string(delta) + ")",
             [delta](const Datum& x) {
-              return Datum::Int64(x.int64() + delta);
+              return Datum::Int64(WrapAdd(x.int64(), delta));
             }};
-  f.i64 = [delta](int64_t x) { return x + delta; };
+  f.i64 = [delta](int64_t x) { return WrapAdd(x, delta); };
   return f;
 }
 
 UnaryFn MulInt64(int64_t k) {
   UnaryFn f{"mulInt64(" + std::to_string(k) + ")", [k](const Datum& x) {
-              return Datum::Int64(x.int64() * k);
+              return Datum::Int64(WrapMul(x.int64(), k));
             }};
-  f.i64 = [k](int64_t x) { return x * k; };
+  f.i64 = [k](int64_t x) { return WrapMul(x, k); };
   return f;
 }
 
@@ -108,8 +131,8 @@ UnaryFn AbsDiffFields12() {
   // Named to match the parser registry ("absDiff") so printed
   // programs re-parse to a program that prints identically.
   return {"absDiff", [](const Datum& x) {
-            return Datum::Int64(std::abs(x.field(1).int64() -
-                                         x.field(2).int64()));
+            return Datum::Int64(
+                WrapAbs(WrapSub(x.field(1).int64(), x.field(2).int64())));
           }};
 }
 

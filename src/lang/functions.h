@@ -51,9 +51,11 @@ struct BinaryFn {
   std::function<Datum(const Datum&, const Datum&)> fn;
 
   // int64 fast path. Only set for combiners that are commutative and
-  // associative on int64 (sum/min/max), where a typed fold over the
-  // canonical sorted order provably matches the generic Datum fold.
-  // Order-sensitive combiners (keepLast) must stay generic.
+  // associative over all of int64 (sum/min/max; sums wrap, so overflow
+  // keeps both laws). That licenses order-free eager folding: the typed
+  // reduce kernels fold each value into its key's accumulator as it
+  // arrives, in any order, and still match the generic sorted Datum fold
+  // exactly. Order-sensitive combiners (keepLast) must stay generic.
   std::function<int64_t(int64_t, int64_t)> i64;
 
   bool valid() const { return static_cast<bool>(fn); }
@@ -95,7 +97,7 @@ namespace fns {
 // x -> (x, 1): the classic word-count/visit-count mapper.
 UnaryFn PairWithOne();
 
-// (a, b) -> a + b for int64s.
+// (a, b) -> a + b for int64s, wrapping on overflow.
 BinaryFn SumInt64();
 
 // (a, b) -> a + b for doubles.
@@ -114,10 +116,10 @@ UnaryFn Field(size_t i);
 // Identity.
 UnaryFn Identity();
 
-// x -> x + delta for int64s.
+// x -> x + delta for int64s, wrapping on overflow.
 UnaryFn AddInt64(int64_t delta);
 
-// x -> x * k for int64s.
+// x -> x * k for int64s, wrapping on overflow.
 UnaryFn MulInt64(int64_t k);
 
 // Join output (k, lv, rv) -> (k, lv + rv).
@@ -126,7 +128,8 @@ UnaryFn SumJoin();
 // (a, b) -> (b, a).
 UnaryFn PairSwap();
 
-// (today, yesterday) tuple of (key, a, b) -> |a - b| as int64.
+// (today, yesterday) tuple of (key, a, b) -> |a - b| as int64, wrapping on
+// overflow (|INT64_MIN| stays INT64_MIN).
 // Matches the paper's `map((id,today,yesterday) => abs(today-yesterday))`.
 UnaryFn AbsDiffFields12();
 

@@ -5,6 +5,7 @@
 // exposition.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -46,16 +47,16 @@ struct Outcome {
   std::map<std::string, DatumVector> files;
 };
 
-Outcome RunMixed(BackendKind backend, bool columnar,
-                 obs::MetricsRegistry* metrics = nullptr) {
-  auto program = lang::Parse(kMixedProgram);
+Outcome RunSource(const char* source, EngineKind engine, BackendKind backend,
+                  bool columnar, obs::MetricsRegistry* metrics = nullptr) {
+  auto program = lang::Parse(source);
   MITOS_CHECK(program.ok()) << program.status().ToString();
   sim::SimFileSystem fs;
   RunConfig config{.machines = 3};
   config.backend = backend;
   config.columnar = columnar;
   config.metrics = metrics;
-  auto result = Run(EngineKind::kMitos, *program, &fs, config);
+  auto result = Run(engine, *program, &fs, config);
   MITOS_CHECK(result.ok()) << result.status().ToString();
   Outcome outcome;
   outcome.stats = result->stats;
@@ -63,6 +64,12 @@ Outcome RunMixed(BackendKind backend, bool columnar,
     outcome.files[name] = *fs.Read(name);
   }
   return outcome;
+}
+
+Outcome RunMixed(BackendKind backend, bool columnar,
+                 obs::MetricsRegistry* metrics = nullptr) {
+  return RunSource(kMixedProgram, EngineKind::kMitos, backend, columnar,
+                   metrics);
 }
 
 TEST(ColumnarPlaneTest, OnAndOffAreElementIdenticalOnDes) {
@@ -111,6 +118,35 @@ TEST(ColumnarPlaneTest, ChunkCountersReachMetricsAndProm) {
   EXPECT_NE(prom.find("mitos_chunks_total"), std::string::npos) << prom;
   EXPECT_NE(prom.find("mitos_chunk_fallback_total"), std::string::npos)
       << prom;
+}
+
+// int64 sums wrap in two's complement instead of overflowing (undefined
+// behaviour), identically in the boxed fold, the eager typed fold, and the
+// reference interpreter.
+TEST(ColumnarPlaneTest, Int64SumOverflowWrapsOnEveryEngine) {
+  constexpr char kOverflow[] = R"(
+s = bagOf(9223372036854775807, 1).reduce(sumInt64);
+k = bagOf((7, 9223372036854775807), (7, 1)).reduceByKey(sumInt64);
+write(s, "sum");
+write(k, "keyed");
+)";
+  const Datum kMin = Datum::Int64(INT64_MIN);
+  const std::map<std::string, DatumVector> want = {
+      {"keyed", {Datum::Pair(Datum::Int64(7), kMin)}}, {"sum", {kMin}}};
+  EXPECT_EQ(RunSource(kOverflow, EngineKind::kReference, BackendKind::kDes,
+                      true)
+                .files,
+            want);
+  for (BackendKind backend : {BackendKind::kDes, BackendKind::kThreads}) {
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << (backend == BackendKind::kThreads)
+                   << " columnar=" << columnar);
+      EXPECT_EQ(
+          RunSource(kOverflow, EngineKind::kMitos, backend, columnar).files,
+          want);
+    }
+  }
 }
 
 }  // namespace

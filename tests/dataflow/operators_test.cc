@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+
 #include "common/chunk.h"
 
 namespace mitos::dataflow {
@@ -291,6 +295,247 @@ TEST(OperatorsTest, ColumnarMatchesBoxedAcrossKernels) {
                                /*num_inputs=*/1, /*columnar=*/false);
     EXPECT_EQ(fast, boxed);
     EXPECT_FALSE(fast.empty());
+  }
+}
+
+// ----- typed keyed state vs the generic path -----
+
+DatumVector Pairs(std::initializer_list<std::pair<int64_t, int64_t>> kvs) {
+  DatumVector out;
+  for (const auto& [k, v] : kvs) {
+    out.push_back(Datum::Pair(Datum::Int64(k), Datum::Int64(v)));
+  }
+  return out;
+}
+
+// A chunk that stays boxed even on the columnar plane.
+Chunk Boxed(DatumVector data) {
+  return Chunk::OfDatums(std::move(data), /*columnarize=*/false);
+}
+
+using Pushes = std::vector<std::pair<int, Chunk>>;
+
+// Drives one output bag of chunks through `op` as given, collecting the
+// emitted chunks.
+std::vector<Chunk> RunChunks(BagOperator& op, const Pushes& pushes,
+                             int num_inputs) {
+  std::vector<Chunk> emitted;
+  BagOperator::EmitFn emit = [&](Chunk&& chunk) {
+    emitted.push_back(std::move(chunk));
+  };
+  op.Open();
+  for (const auto& [input, chunk] : pushes) op.Push(input, chunk, emit);
+  for (int i = 0; i < num_inputs; ++i) op.Close(i, emit);
+  op.Finish(emit);
+  return emitted;
+}
+
+DatumVector Flatten(const std::vector<Chunk>& chunks) {
+  DatumVector out;
+  for (const Chunk& c : chunks) c.AppendTo(&out);
+  return out;
+}
+
+// Runs each bag of `bags` through a columnar kernel with the chunks as
+// given, and through a boxed kernel (set_columnar(false)) with every chunk
+// boxed; expects the same elements in the same order, bag by bag.
+// `reuse[b]` asks both kernels to keep their build side for bag b.
+void ExpectTypedMatchesGeneric(
+    const std::function<std::unique_ptr<BagOperator>()>& make,
+    const std::vector<Pushes>& bags, int num_inputs,
+    const std::vector<bool>& reuse = {}) {
+  auto typed = make();
+  auto generic = make();
+  typed->set_columnar(true);
+  generic->set_columnar(false);
+  for (size_t b = 0; b < bags.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "bag " << b);
+    if (b < reuse.size()) {
+      typed->SetReuseInput(0, reuse[b]);
+      generic->SetReuseInput(0, reuse[b]);
+    }
+    Pushes boxed;
+    for (const auto& [input, chunk] : bags[b]) {
+      boxed.emplace_back(input, Boxed(chunk.ToDatums()));
+    }
+    const DatumVector want = Flatten(RunChunks(*generic, boxed, num_inputs));
+    EXPECT_EQ(Flatten(RunChunks(*typed, bags[b], num_inputs)), want);
+    EXPECT_FALSE(want.empty());
+  }
+}
+
+TEST(OperatorsTest, ReduceByKeyTypedThenBoxedMatchesGeneric) {
+  for (const auto& combine : {lang::fns::SumInt64(), lang::fns::MinInt64()}) {
+    SCOPED_TRACE(combine.name);
+    auto make = [&] { return std::make_unique<ReduceByKeyOp>(combine); };
+    // Typed chunks, then an int-keyed boxed chunk mid-bag (degrade), then
+    // more typed chunks, which now ride the boxed state.
+    ExpectTypedMatchesGeneric(
+        make,
+        {{{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 5}, {1, -4}}))},
+          {0, Chunk::OfDatums(Pairs({{3, 7}, {2, 2}}))},
+          {0, Boxed(Pairs({{2, 9}, {4, 1}}))},
+          {0, Chunk::OfDatums(Pairs({{1, 6}, {5, 0}}))}}},
+        1);
+    // A string-keyed chunk mid-bag.
+    ExpectTypedMatchesGeneric(
+        make,
+        {{{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 5}}))},
+          {0, Chunk::OfDatums(
+                  {Datum::Pair(Datum::String("k"), Datum::Int64(3)),
+                   Datum::Pair(Datum::Int64(1), Datum::Int64(1))})},
+          {0, Chunk::OfDatums(Pairs({{2, 8}}))}}},
+        1);
+  }
+}
+
+TEST(OperatorsTest, ReduceTypedThenBoxedMatchesGeneric) {
+  for (const auto& combine : {lang::fns::SumInt64(), lang::fns::MaxInt64()}) {
+    SCOPED_TRACE(combine.name);
+    ExpectTypedMatchesGeneric(
+        [&] { return std::make_unique<ReduceOp>(combine); },
+        {{{0, Chunk::OfDatums(Ints({5, -3, 9}))},
+          {0, Boxed(Ints({4, 11}))},
+          {0, Chunk::OfDatums(Ints({2}))}},
+         // Typed only, wrapping past INT64_MAX for the sum.
+         {{0, Chunk::OfDatums(Ints({INT64_MAX, 2, 3}))}}},
+        1);
+  }
+}
+
+TEST(OperatorsTest, JoinTypedBuildProbedByBoxedChunksMatchesGeneric) {
+  // Duplicate build keys fix the per-key build order; the boxed probe
+  // mixes int64, string and double keys and non-int64 values. The typed
+  // table must serve all of it without degrading.
+  const Chunk probe_boxed = Chunk::OfDatums(
+      {Datum::Pair(Datum::Int64(1), Datum::Double(0.5)),
+       Datum::Pair(Datum::String("1"), Datum::Int64(1)),
+       Datum::Pair(Datum::Double(2.0), Datum::Int64(2)),
+       Datum::Pair(Datum::Int64(2), Datum::String("x")),
+       Datum::Pair(Datum::Int64(99), Datum::Int64(0))});
+  ASSERT_TRUE(probe_boxed.fallback());
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<JoinOp>(); },
+      {{{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 20}, {1, 11}}))},
+        {0, Chunk::OfDatums(Pairs({{1, 12}, {3, 30}}))},
+        {1, probe_boxed},
+        {1, Chunk::OfDatums(Pairs({{3, 7}, {1, 8}, {4, 9}}))}}},
+      2);
+}
+
+TEST(OperatorsTest, JoinBoxedBuildAfterTypedDegradesAndMatchesGeneric) {
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<JoinOp>(); },
+      {{{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 20}}))},
+        {0, Chunk::OfDatums({Datum::Pair(Datum::String("s"), Datum::Int64(1)),
+                             Datum::Pair(Datum::Int64(1),
+                                         Datum::String("b"))})},
+        {0, Chunk::OfDatums(Pairs({{1, 12}}))},
+        {1, Chunk::OfDatums(Pairs({{1, 7}, {2, 8}}))},
+        {1, Chunk::OfDatums({Datum::Pair(Datum::String("s"),
+                                         Datum::Double(1.5))})}}},
+      2);
+}
+
+TEST(OperatorsTest, JoinTypedBuildReusedAcrossOpenMatchesGeneric) {
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<JoinOp>(); },
+      {// Bag 0 builds and probes.
+       {{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 20}, {1, 11}}))},
+        {1, Chunk::OfDatums(Pairs({{1, 5}}))}},
+       // Bags 1 and 2 reuse the build side and only probe, typed and boxed.
+       {{1, Chunk::OfDatums(Pairs({{2, 6}, {1, 7}}))}},
+       {{1, Chunk::OfDatums(
+                {Datum::Pair(Datum::Int64(1), Datum::Double(1.0))})}},
+       // Bag 3 drops it and builds afresh.
+       {{0, Chunk::OfDatums(Pairs({{2, 40}}))},
+        {1, Chunk::OfDatums(Pairs({{1, 7}, {2, 8}}))}}},
+      2, /*reuse=*/{false, true, true, false});
+}
+
+TEST(OperatorsTest, KeyedKernelsMatchGenericOnManyKeys) {
+  // Enough keys to grow the int64 index several times, extreme keys
+  // included, then a small bag that reuses (and shrinks) it.
+  DatumVector ints;
+  DatumVector pairs;
+  for (int64_t i = 0; i < 5000; ++i) {
+    const int64_t key = (i * 7919) % 3001 - 1500;
+    ints.push_back(Datum::Int64(key));
+    pairs.push_back(Datum::Pair(Datum::Int64(key), Datum::Int64(i)));
+  }
+  for (int64_t extreme : {INT64_MIN, INT64_MAX, int64_t{0}, int64_t{-1}}) {
+    ints.push_back(Datum::Int64(extreme));
+    pairs.push_back(Datum::Pair(Datum::Int64(extreme), Datum::Int64(1)));
+  }
+  const std::vector<Pushes> keyed = {{{0, Chunk::OfDatums(pairs)}},
+                                     {{0, Chunk::OfDatums(Pairs({{3, 1}}))}}};
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<ReduceByKeyOp>(lang::fns::SumInt64()); },
+      keyed, 1);
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<DistinctOp>(); },
+      {{{0, Chunk::OfDatums(ints)}}, {{0, Chunk::OfDatums(Ints({3, 3}))}}},
+      1);
+  ExpectTypedMatchesGeneric([] { return std::make_unique<JoinOp>(); },
+                            {{{0, Chunk::OfDatums(pairs)},
+                              {1, Chunk::OfDatums(pairs)}},
+                             {{0, Chunk::OfDatums(Pairs({{3, 1}}))},
+                              {1, Chunk::OfDatums(pairs)}}},
+                            2);
+}
+
+TEST(OperatorsTest, Int64SlotIndexHandsOutDenseSlotsInFirstSeenOrder) {
+  internal::Int64SlotIndex index;
+  EXPECT_EQ(index.Find(5), internal::Int64SlotIndex::kNone);
+  EXPECT_EQ(index.FindOrAdd(5), 0u);
+  EXPECT_EQ(index.FindOrAdd(INT64_MIN), 1u);
+  EXPECT_EQ(index.FindOrAdd(5), 0u);
+  for (int64_t k = 100; k < 200; ++k) index.FindOrAdd(k);
+  EXPECT_EQ(index.size(), 102u);
+  EXPECT_EQ(index.Find(INT64_MIN), 1u);
+  EXPECT_EQ(index.Find(150), 52u);
+  EXPECT_EQ(index.keys()[52], 150);
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(5), internal::Int64SlotIndex::kNone);
+  EXPECT_EQ(index.FindOrAdd(150), 0u);
+}
+
+// With the columnar plane off, kernels fed columnar chunks still take the
+// generic path: every chunk they emit is boxed.
+TEST(OperatorsTest, ColumnarOffNeverTakesTypedPath) {
+  const Chunk ints = Chunk::OfDatums(Ints({4, 1, 4, 7}));
+  const Chunk pairs = Chunk::OfDatums(Pairs({{1, 2}, {1, 3}, {2, 4}}));
+  ASSERT_EQ(ints.rep(), Chunk::Rep::kInt64);
+  ASSERT_EQ(pairs.rep(), Chunk::Rep::kInt64Pair);
+  struct Case {
+    const char* name;
+    std::unique_ptr<BagOperator> op;
+    Pushes pushes;
+    int num_inputs;
+  };
+  Case cases[] = {
+      {"reduceByKey",
+       std::make_unique<ReduceByKeyOp>(lang::fns::SumInt64()),
+       {{0, pairs}},
+       1},
+      {"reduce", std::make_unique<ReduceOp>(lang::fns::SumInt64()),
+       {{0, ints}},
+       1},
+      {"distinct", std::make_unique<DistinctOp>(), {{0, ints}}, 1},
+      {"join", std::make_unique<JoinOp>(), {{0, pairs}, {1, pairs}}, 2},
+      {"map", std::make_unique<MapOp>(lang::fns::AddInt64(1)), {{0, ints}},
+       1},
+      {"filter", std::make_unique<FilterOp>(lang::fns::GtInt64(2)),
+       {{0, ints}},
+       1},
+  };
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.op->set_columnar(false);
+    const std::vector<Chunk> out = RunChunks(*c.op, c.pushes, c.num_inputs);
+    ASSERT_FALSE(out.empty());
+    for (const Chunk& chunk : out) EXPECT_TRUE(chunk.fallback());
   }
 }
 

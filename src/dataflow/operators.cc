@@ -1,6 +1,7 @@
 #include "dataflow/operators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/hash.h"
@@ -162,6 +163,7 @@ void MapOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
           return;
         }
         break;
+      case Chunk::Rep::kInt64Double:
       case Chunk::Rep::kDatums:
         break;
     }
@@ -239,39 +241,72 @@ void ReduceByKeyOp::Open() {
   values_.clear();
   index64_.Clear();
   acc64_.clear();
-  typed_ = columnar() && static_cast<bool>(combine_.i64);
+  slots_.clear();
+  dvals_.clear();
+  path_ = Path::kBoxed;
+  if (columnar() && combine_.i64) {
+    path_ = Path::kInt64Fold;
+  } else if (columnar() && combine_.f64) {
+    path_ = Path::kDoubleSort;
+  }
 }
 
 void ReduceByKeyOp::DegradeToGeneric() {
-  // Replay one accumulator per key into the boxed state, preserving
-  // first-seen key order. int64 equality and ordering agree across the two
-  // domains and the combiner is associative, so folding the accumulator
-  // with later values gives the same result.
+  // Replay the typed state into the boxed one, preserving first-seen key
+  // order: one accumulator per key (the int64 combiner is associative, so
+  // folding it with later values gives the same result), or every buffered
+  // double (which the boxed Finish sorts like the typed one would have).
   const std::vector<int64_t>& keys = index64_.keys();
+  std::vector<DatumVector> grouped(keys.size());
+  if (path_ == Path::kInt64Fold) {
+    for (size_t slot = 0; slot < keys.size(); ++slot) {
+      grouped[slot].push_back(Datum::Int64(acc64_[slot]));
+    }
+  } else {
+    for (size_t i = 0; i < dvals_.size(); ++i) {
+      grouped[slots_[i]].push_back(Datum::Double(dvals_[i]));
+    }
+  }
   for (size_t slot = 0; slot < keys.size(); ++slot) {
     Datum k = Datum::Int64(keys[slot]);
-    values_[k].push_back(Datum::Int64(acc64_[slot]));
+    values_[k] = std::move(grouped[slot]);
     key_order_.push_back(std::move(k));
   }
   index64_.Clear();
   acc64_.clear();
-  typed_ = false;
+  slots_.clear();
+  dvals_.clear();
+  path_ = Path::kBoxed;
 }
 
 void ReduceByKeyOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
   MITOS_CHECK_EQ(input, 0);
   (void)emit;
-  if (typed_) {
+  const size_t n = chunk.size();
+  if (path_ == Path::kInt64Fold) {
     if (chunk.rep() == Chunk::Rep::kInt64Pair) {
       const int64_t* keys = chunk.keys();
       const int64_t* vals = chunk.vals();
-      for (size_t i = 0; i < chunk.size(); ++i) {
+      for (size_t i = 0; i < n; ++i) {
         const uint32_t slot = index64_.FindOrAdd(keys[i]);
         if (slot == acc64_.size()) {
           acc64_.push_back(vals[i]);
         } else {
           acc64_[slot] = combine_.i64(acc64_[slot], vals[i]);
         }
+      }
+      return;
+    }
+    DegradeToGeneric();
+  } else if (path_ == Path::kDoubleSort) {
+    if (chunk.rep() == Chunk::Rep::kInt64Double &&
+        std::none_of(chunk.dvals(), chunk.dvals() + n,
+                     [](double v) { return std::isnan(v); })) {
+      const int64_t* keys = chunk.keys();
+      const double* vals = chunk.dvals();
+      for (size_t i = 0; i < n; ++i) {
+        slots_.push_back(index64_.FindOrAdd(keys[i]));
+        dvals_.push_back(vals[i]);
       }
       return;
     }
@@ -292,10 +327,41 @@ void ReduceByKeyOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
   });
 }
 
+void ReduceByKeyOp::FinishSortedDoubles(const EmitFn& emit) {
+  const size_t num_keys = index64_.size();
+  if (num_keys == 0) return;
+  // Counting sort by slot makes each key's values one contiguous range.
+  std::vector<size_t> begin(num_keys + 1, 0);
+  for (uint32_t slot : slots_) ++begin[slot + 1];
+  for (size_t k = 0; k < num_keys; ++k) begin[k + 1] += begin[k];
+  std::vector<size_t> fill(begin.begin(), begin.end() - 1);
+  std::vector<double> grouped(dvals_.size());
+  for (size_t i = 0; i < dvals_.size(); ++i) {
+    grouped[fill[slots_[i]]++] = dvals_[i];
+  }
+  // The boxed Finish's canonical fold, on raw doubles (BinaryFn::f64).
+  std::vector<double> folded(num_keys);
+  for (size_t k = 0; k < num_keys; ++k) {
+    double* first = grouped.data() + begin[k];
+    double* last = grouped.data() + begin[k + 1];
+    std::sort(first, last);
+    double acc = *first;
+    for (const double* v = first + 1; v != last; ++v) {
+      acc = combine_.f64(acc, *v);
+    }
+    folded[k] = acc;
+  }
+  emit(Chunk::OfInt64Doubles(index64_.keys(), std::move(folded)));
+}
+
 void ReduceByKeyOp::Finish(const EmitFn& emit) {
-  if (typed_) {
+  if (path_ == Path::kInt64Fold) {
     if (acc64_.empty()) return;
     emit(Chunk::OfInt64Pairs(index64_.keys(), acc64_));
+    return;
+  }
+  if (path_ == Path::kDoubleSort) {
+    FinishSortedDoubles(emit);
     return;
   }
   if (key_order_.empty()) return;
@@ -436,12 +502,24 @@ void JoinOp::Build(const Chunk& chunk) {
   });
 }
 
-void JoinOp::EmitMatches(uint32_t slot, const Datum& key,
-                         const Datum& probe_value, DatumVector* out) const {
-  for (uint32_t e = head64_[slot]; e != internal::Int64SlotIndex::kNone;
-       e = next64_[e]) {
-    out->push_back(
-        Datum::Tuple({key, Datum::Int64(build_vals64_[e]), probe_value}));
+void JoinOp::Probe(const Datum& key, const Datum& probe_value,
+                   DatumVector* out) const {
+  if (typed_) {
+    // Only an int64 key can equal a key of the int64 table.
+    if (!key.is_int64()) return;
+    const uint32_t slot = index64_.Find(key.int64());
+    if (slot == internal::Int64SlotIndex::kNone) return;
+    for (uint32_t e = head64_[slot]; e != internal::Int64SlotIndex::kNone;
+         e = next64_[e]) {
+      out->push_back(
+          Datum::Tuple({key, Datum::Int64(build_vals64_[e]), probe_value}));
+    }
+    return;
+  }
+  auto it = table_.find(key);
+  if (it == table_.end()) return;
+  for (const Datum& build_value : it->second) {
+    out->push_back(Datum::Tuple({key, build_value, probe_value}));
   }
 }
 
@@ -452,36 +530,27 @@ void JoinOp::Push(int input, const Chunk& chunk, const EmitFn& emit) {
   }
   MITOS_CHECK_EQ(input, 1);
   DatumVector out;
-  if (typed_ && chunk.rep() == Chunk::Rep::kInt64Pair) {
+  const size_t n = chunk.size();
+  // Pair columns are probed field by field: no probe pair is boxed.
+  if (chunk.rep() == Chunk::Rep::kInt64Pair) {
     const int64_t* keys = chunk.keys();
     const int64_t* vals = chunk.vals();
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      const uint32_t slot = index64_.Find(keys[i]);
-      if (slot == internal::Int64SlotIndex::kNone) continue;
-      EmitMatches(slot, Datum::Int64(keys[i]), Datum::Int64(vals[i]), &out);
+    for (size_t i = 0; i < n; ++i) {
+      Probe(Datum::Int64(keys[i]), Datum::Int64(vals[i]), &out);
     }
-    EmitDatums(std::move(out), emit);
-    return;
+  } else if (chunk.rep() == Chunk::Rep::kInt64Double) {
+    const int64_t* keys = chunk.keys();
+    const double* vals = chunk.dvals();
+    for (size_t i = 0; i < n; ++i) {
+      Probe(Datum::Int64(keys[i]), Datum::Double(vals[i]), &out);
+    }
+  } else {
+    ForEachDatum(chunk, [&](const Datum& element) {
+      MITOS_CHECK(element.is_tuple() && element.size() >= 2)
+          << "join probe input is not a (key, value) pair";
+      Probe(element.field(0), element.field(1), &out);
+    });
   }
-  ForEachDatum(chunk, [&](const Datum& element) {
-    MITOS_CHECK(element.is_tuple() && element.size() >= 2)
-        << "join probe input is not a (key, value) pair";
-    const Datum& key = element.field(0);
-    if (typed_) {
-      // Only an int64 key can equal a key of the int64 table.
-      if (!key.is_int64()) return;
-      const uint32_t slot = index64_.Find(key.int64());
-      if (slot != internal::Int64SlotIndex::kNone) {
-        EmitMatches(slot, key, element.field(1), &out);
-      }
-      return;
-    }
-    auto it = table_.find(key);
-    if (it == table_.end()) return;
-    for (const Datum& build_value : it->second) {
-      out.push_back(Datum::Tuple({key, build_value, element.field(1)}));
-    }
-  });
   EmitDatums(std::move(out), emit);
 }
 

@@ -161,20 +161,33 @@ class FlatMapOp : public BagOperator {
 
 // Per-partition aggregation over (k, v) pairs; emits at Finish in
 // first-seen key order (matching lang::ReduceByKeyKernel per partition).
+// Three paths, chosen per bag from the combiner's typed body and the
+// representation of the pushed chunks:
 //
-// Typed path: while every pushed chunk is an (int64, int64) column and the
-// combiner has an i64 body, each value is folded into its key's int64
-// accumulator as it arrives. The i64 contract (lang/functions.h) promises a
-// commutative, associative combiner, so any fold order gives exactly the
-// canonical sorted fold's result. The first incompatible chunk degrades the
-// state to the boxed form, one accumulator per key (int64 ordering and
-// equality are identical in both domains, so results cannot differ).
+// Eager int64 fold: while every pushed chunk is an (int64, int64) column
+// and the combiner has an i64 body, each value is folded into its key's
+// int64 accumulator as it arrives. The i64 contract (lang/functions.h)
+// promises a commutative, associative combiner, so any fold order gives
+// exactly the canonical sorted fold's result.
+//
+// Sorted double fold: while every pushed chunk is an (int64, double) column
+// and the combiner has an f64 body (sumDouble), the values are buffered
+// flat as (slot, value); Finish groups them by key, sorts each key's values
+// with `<` and folds left — the boxed path's canonical fold on raw doubles,
+// bitwise identical to it (see BinaryFn::f64). Emits one (int64, double)
+// chunk.
 //
 // Boxed path: values are buffered per key and folded in sorted order at
 // Finish, so the result is independent of chunk arrival order — bags are
 // *unordered* collections, and a canonical fold order is what makes
 // re-executed (recovered) runs byte-identical even for combiners that are
 // not associative in floating point (sumDouble).
+//
+// A typed path degrades to the boxed one on the first chunk it cannot take
+// (and the double path also on the first NaN value): the int64 path replays
+// one accumulator per key, the double path every buffered value, keeping
+// first-seen key order. int64 and double equality and ordering agree
+// across the two domains, so results cannot differ.
 class ReduceByKeyOp : public BagOperator {
  public:
   explicit ReduceByKeyOp(lang::BinaryFn combine)
@@ -184,12 +197,17 @@ class ReduceByKeyOp : public BagOperator {
   void Finish(const EmitFn& emit) override;
 
  private:
+  enum class Path { kBoxed, kInt64Fold, kDoubleSort };
+
   void DegradeToGeneric();
+  void FinishSortedDoubles(const EmitFn& emit);
 
   lang::BinaryFn combine_;
-  bool typed_ = false;
+  Path path_ = Path::kBoxed;
   internal::Int64SlotIndex index64_;
-  std::vector<int64_t> acc64_;  // slot -> folded value
+  std::vector<int64_t> acc64_;   // kInt64Fold: slot -> folded value
+  std::vector<uint32_t> slots_;  // kDoubleSort: slot of each value
+  std::vector<double> dvals_;    // kDoubleSort: values in arrival order
   std::vector<Datum> key_order_;
   std::unordered_map<Datum, DatumVector, DatumHash, DatumEq> values_;
 };
@@ -233,10 +251,12 @@ class CountOp : public BagOperator {
 //
 // Typed path: while every build chunk is an (int64, int64) column, the
 // table is int64-keyed with unboxed values, and it survives hoisted reuse.
-// (int64, int64) probe chunks probe it unboxed; boxed probe chunks look up
-// int64 field-0 keys only, since no other key can equal an int64. So a
-// probe never degrades the table; only a non-pair build chunk does. The
-// output tuples are width-3, never columnar, so they are always boxed.
+// Probe chunks never degrade the table; only a non-pair build chunk does.
+// Pair-column probes ((int64, int64) or (int64, double)) read key and
+// value straight from their columns against either table, so no probe pair
+// is allocated. Against the typed table only int64 keys are looked up,
+// since no other key can equal an int64. The output tuples are width-3,
+// never columnar, so they are always boxed.
 class JoinOp : public BagOperator {
  public:
   void Open() override;
@@ -250,9 +270,9 @@ class JoinOp : public BagOperator {
   void Build(const Chunk& chunk);
   void ClearTyped();
   void DegradeToGeneric();
-  // Appends (key, build_v, probe_v) for every build value of `slot`.
-  void EmitMatches(uint32_t slot, const Datum& key, const Datum& probe_value,
-                   DatumVector* out) const;
+  // Appends (key, build_v, probe_value) for every build value of `key`.
+  void Probe(const Datum& key, const Datum& probe_value,
+             DatumVector* out) const;
 
   bool reuse_build_ = false;
   bool typed_ = false;

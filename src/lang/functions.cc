@@ -3,26 +3,11 @@
 #include <cstdint>
 
 #include "common/logging.h"
+#include "lang/scalar_ops.h"
 
 namespace mitos::lang {
 namespace {
 
-// Two's-complement wrapping int64 arithmetic. Signed overflow is undefined
-// behaviour; wrapping through uint64_t is defined, agrees on every engine,
-// and keeps + and * associative and commutative over all of int64, which
-// the eager typed folds (BinaryFn::i64) rely on.
-int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-int64_t WrapSub(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) -
-                              static_cast<uint64_t>(b));
-}
-int64_t WrapMul(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) *
-                              static_cast<uint64_t>(b));
-}
 // |x|, wrapping: |INT64_MIN| is INT64_MIN.
 int64_t WrapAbs(int64_t x) { return x < 0 ? WrapSub(0, x) : x; }
 
@@ -46,9 +31,11 @@ BinaryFn SumInt64() {
 }
 
 BinaryFn SumDouble() {
-  return {"sumDouble", [](const Datum& a, const Datum& b) {
-            return Datum::Double(a.dbl() + b.dbl());
-          }};
+  BinaryFn f{"sumDouble", [](const Datum& a, const Datum& b) {
+               return Datum::Double(a.dbl() + b.dbl());
+             }};
+  f.f64 = [](double a, double b) { return a + b; };
+  return f;
 }
 
 BinaryFn MinInt64() {

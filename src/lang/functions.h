@@ -58,6 +58,16 @@ struct BinaryFn {
   // exactly. Order-sensitive combiners (keepLast) must stay generic.
   std::function<int64_t(int64_t, int64_t)> i64;
 
+  // double fast path (sumDouble). Its contract is weaker than i64's: the
+  // body is exactly `fn` on doubles but NOT associative (float rounding), so
+  // no kernel may fold it eagerly or in arrival order. A kernel may only
+  // apply it as the generic path does: to each key's values sorted with
+  // `<`, folded left. Values that compare equal are then either identical
+  // or zeros of either sign, whose sums do not depend on their order, so
+  // the result is bitwise the generic one. NaN breaks the sort's ordering,
+  // so kernels hand NaN inputs to the generic path.
+  std::function<double(double, double)> f64;
+
   bool valid() const { return static_cast<bool>(fn); }
   Datum operator()(const Datum& a, const Datum& b) const { return fn(a, b); }
 };

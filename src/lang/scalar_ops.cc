@@ -39,17 +39,20 @@ StatusOr<Datum> ApplyBinOp(BinOpKind op, const Datum& a, const Datum& b) {
   bool both_int = a.is_int64() && b.is_int64();
   switch (op) {
     case BinOpKind::kAdd:
-      return both_int ? Datum::Int64(a.int64() + b.int64())
+      return both_int ? Datum::Int64(WrapAdd(a.int64(), b.int64()))
                       : Datum::Double(a.AsNumber() + b.AsNumber());
     case BinOpKind::kSub:
-      return both_int ? Datum::Int64(a.int64() - b.int64())
+      return both_int ? Datum::Int64(WrapSub(a.int64(), b.int64()))
                       : Datum::Double(a.AsNumber() - b.AsNumber());
     case BinOpKind::kMul:
-      return both_int ? Datum::Int64(a.int64() * b.int64())
+      return both_int ? Datum::Int64(WrapMul(a.int64(), b.int64()))
                       : Datum::Double(a.AsNumber() * b.AsNumber());
     case BinOpKind::kDiv:
       if (both_int) {
         if (b.int64() == 0) return Status::InvalidArgument("division by zero");
+        // x / -1 is -x, which wraps for INT64_MIN; the hardware division
+        // would trap instead.
+        if (b.int64() == -1) return Datum::Int64(WrapSub(0, a.int64()));
         return Datum::Int64(a.int64() / b.int64());
       }
       return Datum::Double(a.AsNumber() / b.AsNumber());
@@ -58,6 +61,7 @@ StatusOr<Datum> ApplyBinOp(BinOpKind op, const Datum& a, const Datum& b) {
         return Status::InvalidArgument("'%' requires int64 operands");
       }
       if (b.int64() == 0) return Status::InvalidArgument("modulo by zero");
+      if (b.int64() == -1) return Datum::Int64(0);  // traps for INT64_MIN
       return Datum::Int64(a.int64() % b.int64());
     case BinOpKind::kLt:
       return Datum::Bool(a.AsNumber() < b.AsNumber());

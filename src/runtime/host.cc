@@ -22,6 +22,44 @@ constexpr double kBookkeepingElements = 5.0;
 // from the cache, leaving only the validate-and-instantiate token.
 constexpr double kTemplatedBookkeepingElements = 1.0;
 
+// Hash-partitions a single typed column; `make` rebuilds each part
+// (Chunk::OfInt64 / OfDouble).
+template <typename T>
+void PartitionColumn(const Chunk& chunk, const T* in,
+                     Chunk (*make)(std::vector<T>), ChunkVector* parts) {
+  const size_t par = parts->size();
+  std::vector<std::vector<T>> cols(par);
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    cols[chunk.HashAt(i) % par].push_back(in[i]);
+  }
+  for (size_t p = 0; p < par; ++p) {
+    if (!cols[p].empty()) (*parts)[p] = make(std::move(cols[p]));
+  }
+}
+
+// Hash-partitions a pair column: the shared int64 key column plus the value
+// column `vals`; `make` rebuilds each part (Chunk::OfInt64Pairs /
+// OfInt64Doubles).
+template <typename V>
+void PartitionPairs(const Chunk& chunk, const V* vals, bool by_key,
+                    Chunk (*make)(std::vector<int64_t>, std::vector<V>),
+                    ChunkVector* parts) {
+  const size_t par = parts->size();
+  std::vector<std::vector<int64_t>> keys(par);
+  std::vector<std::vector<V>> values(par);
+  const int64_t* ks = chunk.keys();
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    const size_t p = (by_key ? chunk.HashField0At(i) : chunk.HashAt(i)) % par;
+    keys[p].push_back(ks[i]);
+    values[p].push_back(vals[i]);
+  }
+  for (size_t p = 0; p < par; ++p) {
+    if (!keys[p].empty()) {
+      (*parts)[p] = make(std::move(keys[p]), std::move(values[p]));
+    }
+  }
+}
+
 }  // namespace
 
 BagOperatorHost::BagOperatorHost(RuntimeContext* ctx,
@@ -813,49 +851,19 @@ bool BagOperatorHost::PartitionChunk(const Chunk& chunk, size_t edge_index,
         return false;
       }
       if (chunk.rep() == Chunk::Rep::kInt64) {
-        std::vector<std::vector<int64_t>> cols(par);
-        const int64_t* in = chunk.i64();
-        for (size_t i = 0; i < n; ++i) {
-          cols[chunk.HashAt(i) % par].push_back(in[i]);
-        }
-        for (size_t p = 0; p < par; ++p) {
-          if (!cols[p].empty()) {
-            (*parts)[p] = Chunk::OfInt64(std::move(cols[p]));
-          }
-        }
+        PartitionColumn(chunk, chunk.i64(), &Chunk::OfInt64, parts);
       } else {
-        std::vector<std::vector<double>> cols(par);
-        const double* in = chunk.f64();
-        for (size_t i = 0; i < n; ++i) {
-          cols[chunk.HashAt(i) % par].push_back(in[i]);
-        }
-        for (size_t p = 0; p < par; ++p) {
-          if (!cols[p].empty()) {
-            (*parts)[p] = Chunk::OfDouble(std::move(cols[p]));
-          }
-        }
+        PartitionColumn(chunk, chunk.f64(), &Chunk::OfDouble, parts);
       }
       return true;
     }
-    case Chunk::Rep::kInt64Pair: {
-      std::vector<std::vector<int64_t>> keys(par);
-      std::vector<std::vector<int64_t>> vals(par);
-      const int64_t* ks = chunk.keys();
-      const int64_t* vs = chunk.vals();
-      for (size_t i = 0; i < n; ++i) {
-        size_t h = by_key ? chunk.HashField0At(i) : chunk.HashAt(i);
-        size_t p = h % par;
-        keys[p].push_back(ks[i]);
-        vals[p].push_back(vs[i]);
-      }
-      for (size_t p = 0; p < par; ++p) {
-        if (!keys[p].empty()) {
-          (*parts)[p] =
-              Chunk::OfInt64Pairs(std::move(keys[p]), std::move(vals[p]));
-        }
-      }
+    case Chunk::Rep::kInt64Pair:
+      PartitionPairs(chunk, chunk.vals(), by_key, &Chunk::OfInt64Pairs, parts);
       return true;
-    }
+    case Chunk::Rep::kInt64Double:
+      PartitionPairs(chunk, chunk.dvals(), by_key, &Chunk::OfInt64Doubles,
+                     parts);
+      return true;
     case Chunk::Rep::kDatums: {
       std::vector<DatumVector> boxed(par);
       const Datum* data = chunk.datums();

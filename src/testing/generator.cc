@@ -13,11 +13,12 @@ namespace {
 using lang::ExprPtr;
 using lang::StmtList;
 
-// Element shapes a generated bag can hold. kInt and kPair ride the typed
-// column fast path of the batched data plane; kStr and kStrPair (string
-// key, int64 value) force the boxed DatumVector fallback — the fuzzer must
-// exercise both so the differential harness covers fast path and fallback.
-enum class Shape { kInt, kPair, kStr, kStrPair };
+// Element shapes a generated bag can hold. kInt, kPair and kDblPair (int64
+// key, double value) ride the typed column fast path of the batched data
+// plane; kStr and kStrPair (string key, int64 value) force the boxed
+// DatumVector fallback — the fuzzer must exercise both so the differential
+// harness covers fast path and fallback.
+enum class Shape { kInt, kPair, kStr, kStrPair, kDblPair };
 
 class Generator {
  public:
@@ -67,15 +68,17 @@ class Generator {
   std::string NewVar() { return "v" + std::to_string(var_counter_++); }
 
   Shape RandomShape() {
-    switch (rng_.NextBelow(4)) {
+    switch (rng_.NextBelow(5)) {
       case 0:
         return Shape::kInt;
       case 1:
         return Shape::kPair;
       case 2:
         return Shape::kStr;
-      default:
+      case 3:
         return Shape::kStrPair;
+      default:
+        return Shape::kDblPair;
     }
   }
 
@@ -109,6 +112,16 @@ class Generator {
               Datum::String(Word(k)),
               Datum::Int64(static_cast<int64_t>(rng_.NextBelow(100)))));
           break;
+        case Shape::kDblPair:
+          // Multiples of 1/64 within [-8, 8]: sums of them are exact in any
+          // order (the reference folds in arrival order, the engines in
+          // sorted order, and outputs are compared exactly), and ToSource's
+          // six fixed decimals print them without rounding.
+          data.push_back(Datum::Pair(
+              Datum::Int64(k),
+              Datum::Double(static_cast<double>(rng_.NextInRange(-512, 512)) /
+                            64.0)));
+          break;
       }
     }
     return data;
@@ -127,8 +140,10 @@ class Generator {
     std::string name = NewVar();
     switch (want) {
       case Shape::kStr:
-        // Strings are not derivable from the int world: seed a literal.
-        Emit(lang::Assign(name, lang::BagLit(RandomBag(Shape::kStr))));
+      case Shape::kDblPair:
+        // Strings and doubles are not derivable from the int world: seed a
+        // literal.
+        Emit(lang::Assign(name, lang::BagLit(RandomBag(want))));
         break;
       case Shape::kStrPair: {
         std::string in = BagOfShape(Shape::kStr);
@@ -154,6 +169,9 @@ class Generator {
           case Shape::kPair:
           case Shape::kStrPair:
             in = lang::Map(std::move(in), lang::fns::Field(1));
+            break;
+          case Shape::kDblPair:
+            in = lang::Map(std::move(in), lang::fns::Field(0));
             break;
           case Shape::kStr:
             in = lang::Map(std::move(in), lang::fns::StrLen());
@@ -201,7 +219,7 @@ class Generator {
   }
 
   void EmitBagStmt() {
-    switch (rng_.NextBelow(17)) {
+    switch (rng_.NextBelow(18)) {
       case 0: {  // int map
         std::string in = BagOfShape(Shape::kInt);
         std::string name = NewVar();
@@ -399,6 +417,9 @@ class Generator {
         }
         break;
       }
+      case 16:
+        EmitDoublePairStmt();
+        break;
       default: {  // string-keyed reduceByKey: typed state must degrade
         std::string in = BagOfShape(Shape::kStrPair);
         std::string name = NewVar();
@@ -409,6 +430,28 @@ class Generator {
         break;
       }
     }
+  }
+
+  // (int64, double) pairs: the sorted double fold of reduceByKey(sumDouble)
+  // and the unboxed join probe. Joins project to the matched keys, since
+  // no stock projection adds a double to an int64.
+  void EmitDoublePairStmt() {
+    std::string in = BagOfShape(Shape::kDblPair);
+    std::string name = NewVar();
+    if (rng_.NextBelow(2) == 0) {
+      Emit(lang::Assign(name, lang::ReduceByKey(lang::Var(in),
+                                                lang::fns::SumDouble())));
+      Count("reduceByKey");
+      bags_.push_back({name, Shape::kDblPair});
+      return;
+    }
+    std::string build = BagOfShape(rng_.NextBelow(2) == 0 ? Shape::kPair
+                                                           : Shape::kDblPair);
+    Emit(lang::Assign(
+        name, lang::Map(lang::Join(lang::Var(build), lang::Var(in)),
+                        lang::fns::Field(0))));
+    Count("join");
+    bags_.push_back({name, Shape::kInt});
   }
 
   void EmitScalarStmt() {
@@ -599,6 +642,12 @@ class Generator {
         Emit(lang::Assign(target.name,
                           lang::ReduceByKey(lang::Var(target.name),
                                             lang::fns::SumInt64())));
+        Count("reduceByKey");
+        break;
+      case Shape::kDblPair:
+        Emit(lang::Assign(target.name,
+                          lang::ReduceByKey(lang::Var(target.name),
+                                            lang::fns::SumDouble())));
         Count("reduceByKey");
         break;
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -14,6 +15,8 @@
 #include "obs/live/prom.h"
 #include "obs/metrics.h"
 #include "sim/filesystem.h"
+#include "workloads/generators.h"
+#include "workloads/programs.h"
 
 namespace mitos::api {
 namespace {
@@ -47,16 +50,16 @@ struct Outcome {
   std::map<std::string, DatumVector> files;
 };
 
-Outcome RunSource(const char* source, EngineKind engine, BackendKind backend,
-                  bool columnar, obs::MetricsRegistry* metrics = nullptr) {
-  auto program = lang::Parse(source);
-  MITOS_CHECK(program.ok()) << program.status().ToString();
-  sim::SimFileSystem fs;
+Outcome RunProgram(const lang::Program& program,
+                   const sim::SimFileSystem& inputs, EngineKind engine,
+                   BackendKind backend, bool columnar,
+                   obs::MetricsRegistry* metrics = nullptr) {
+  sim::SimFileSystem fs = inputs;
   RunConfig config{.machines = 3};
   config.backend = backend;
   config.columnar = columnar;
   config.metrics = metrics;
-  auto result = Run(engine, *program, &fs, config);
+  auto result = Run(engine, program, &fs, config);
   MITOS_CHECK(result.ok()) << result.status().ToString();
   Outcome outcome;
   outcome.stats = result->stats;
@@ -64,6 +67,14 @@ Outcome RunSource(const char* source, EngineKind engine, BackendKind backend,
     outcome.files[name] = *fs.Read(name);
   }
   return outcome;
+}
+
+Outcome RunSource(const char* source, EngineKind engine, BackendKind backend,
+                  bool columnar, obs::MetricsRegistry* metrics = nullptr) {
+  auto program = lang::Parse(source);
+  MITOS_CHECK(program.ok()) << program.status().ToString();
+  return RunProgram(*program, sim::SimFileSystem(), engine, backend, columnar,
+                    metrics);
 }
 
 Outcome RunMixed(BackendKind backend, bool columnar,
@@ -145,6 +156,108 @@ write(k, "keyed");
       EXPECT_EQ(
           RunSource(kOverflow, EngineKind::kMitos, backend, columnar).files,
           want);
+    }
+  }
+}
+
+// Element-wise equality with doubles compared by their bits, so a rank
+// that differs in the last place (or in the sign of a zero) is caught.
+void ExpectSameBits(const DatumVector& got, const DatumVector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].is_tuple() && got[i].size() == 2) << got[i].ToString();
+    EXPECT_EQ(got[i].field(0), want[i].field(0)) << i;
+    const double a = got[i].field(1).dbl();
+    const double b = want[i].field(1).dbl();
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+        << i << ": " << got[i].ToString() << " vs " << want[i].ToString();
+  }
+}
+
+// PageRank's ranks, contributions and per-vertex sums are (int64, double)
+// pairs: the columnar plane carries them as typed columns and sums them
+// with reduceByKey's sorted double fold, which must give the boxed plane's
+// ranks bit for bit, on both backends.
+TEST(ColumnarPlaneTest, PageRankRanksAreBitwiseIdenticalOnEveryPlane) {
+  for (uint64_t graph_seed : {1, 2, 3}) {
+    SCOPED_TRACE(graph_seed);
+    sim::SimFileSystem inputs;
+    workloads::GenerateGraph(
+        &inputs, {.num_vertices = 150, .num_edges = 600, .seed = graph_seed});
+    const lang::Program program =
+        workloads::PageRankProgram({.iterations = 4, .num_vertices = 150});
+    const Outcome boxed = RunProgram(program, inputs, EngineKind::kMitos,
+                                     BackendKind::kDes, false);
+    ASSERT_EQ(boxed.files.count("ranks"), 1u);
+    ASSERT_EQ(boxed.files.at("ranks").size(), 150u);
+    const Outcome typed = RunProgram(program, inputs, EngineKind::kMitos,
+                                     BackendKind::kDes, true);
+    ExpectSameBits(typed.files.at("ranks"), boxed.files.at("ranks"));
+    // Most chunks now ride typed columns; only the adjacency (nested
+    // tuples) and the width-3 join output stay boxed.
+    EXPECT_LT(2 * typed.stats.chunk_fallbacks, typed.stats.chunks);
+    EXPECT_EQ(typed.stats.chunks, boxed.stats.chunks);
+    EXPECT_EQ(typed.stats.total_seconds, boxed.stats.total_seconds);
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE(columnar ? "threads, columnar" : "threads, boxed");
+      const Outcome threads = RunProgram(program, inputs, EngineKind::kMitos,
+                                         BackendKind::kThreads, columnar);
+      ExpectSameBits(threads.files.at("ranks"), boxed.files.at("ranks"));
+    }
+  }
+}
+
+// Scalar int64 arithmetic wraps instead of overflowing (undefined
+// behaviour), and the one quotient that overflows, INT64_MIN / -1, wraps to
+// INT64_MIN (with INT64_MIN % -1 = 0) instead of trapping. Scalars are
+// evaluated by the interpreter on the reference engine and by synthesized
+// closures on one-element bags on Mitos, so every engine must agree.
+TEST(ScalarInt64Test, OverflowWrapsAndDivisionByMinusOneDoesNotTrap) {
+  struct Case {
+    const char* source;
+    std::map<std::string, DatumVector> want;
+  };
+  const Datum kMin = Datum::Int64(INT64_MIN);
+  const Case cases[] = {
+      {R"(
+x = 9223372036854775807;
+i = 0;
+do {
+  a = (x + 1);
+  s = ((0 - x) - 2);
+  m = (x * 2);
+  i = (i + 1);
+} while ((i < 2));
+write(newBag(a), "add");
+write(newBag(s), "sub");
+write(newBag(m), "mul");
+)",
+       {{"add", {kMin}},
+        {"sub", {Datum::Int64(INT64_MAX)}},
+        {"mul", {Datum::Int64(-2)}}}},
+      {R"(
+x = 0 - 9223372036854775807 - 1;
+y = x / (0 - 1);
+write(newBag(y), "out");
+)",
+       {{"out", {kMin}}}},
+      {R"(
+x = 0 - 9223372036854775807 - 1;
+y = x % (0 - 1);
+write(newBag(y), "out");
+)",
+       {{"out", {Datum::Int64(0)}}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.source);
+    EXPECT_EQ(
+        RunSource(c.source, EngineKind::kReference, BackendKind::kDes, true)
+            .files,
+        c.want);
+    for (BackendKind backend : {BackendKind::kDes, BackendKind::kThreads}) {
+      SCOPED_TRACE(backend == BackendKind::kThreads ? "threads" : "des");
+      EXPECT_EQ(RunSource(c.source, EngineKind::kMitos, backend, true).files,
+                c.want);
     }
   }
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 
@@ -336,6 +338,35 @@ DatumVector Flatten(const std::vector<Chunk>& chunks) {
   return out;
 }
 
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Element-wise equality with doubles compared bitwise, so -0.0 differs
+// from 0.0 and a NaN equals a NaN of the same payload.
+bool SameBits(const Datum& a, const Datum& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.is_double()) return Bits(a.dbl()) == Bits(b.dbl());
+  if (!a.is_tuple()) return a == b;
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a.field(i), b.field(i))) return false;
+  }
+  return true;
+}
+
+void ExpectSameBits(const DatumVector& got, const DatumVector& want) {
+  ASSERT_EQ(got.size(), want.size())
+      << ToString(got) << " vs " << ToString(want);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(SameBits(got[i], want[i]))
+        << "element " << i << ": " << got[i].ToString() << " vs "
+        << want[i].ToString();
+  }
+}
+
 // Runs each bag of `bags` through a columnar kernel with the chunks as
 // given, and through a boxed kernel (set_columnar(false)) with every chunk
 // boxed; expects the same elements in the same order, bag by bag.
@@ -359,7 +390,7 @@ void ExpectTypedMatchesGeneric(
       boxed.emplace_back(input, Boxed(chunk.ToDatums()));
     }
     const DatumVector want = Flatten(RunChunks(*generic, boxed, num_inputs));
-    EXPECT_EQ(Flatten(RunChunks(*typed, bags[b], num_inputs)), want);
+    ExpectSameBits(Flatten(RunChunks(*typed, bags[b], num_inputs)), want);
     EXPECT_FALSE(want.empty());
   }
 }
@@ -482,6 +513,123 @@ TEST(OperatorsTest, KeyedKernelsMatchGenericOnManyKeys) {
                              {{0, Chunk::OfDatums(Pairs({{3, 1}}))},
                               {1, Chunk::OfDatums(pairs)}}},
                             2);
+}
+
+// ----- (int64, double) pairs: the sorted double fold and the keyed probe --
+
+DatumVector DoublePairs(
+    std::initializer_list<std::pair<int64_t, double>> kvs) {
+  DatumVector out;
+  for (const auto& [k, v] : kvs) {
+    out.push_back(Datum::Pair(Datum::Int64(k), Datum::Double(v)));
+  }
+  return out;
+}
+
+// A columnar (int64, double) chunk.
+Chunk DoubleChunk(std::initializer_list<std::pair<int64_t, double>> kvs) {
+  Chunk c = Chunk::OfDatums(DoublePairs(kvs));
+  MITOS_CHECK(c.rep() == Chunk::Rep::kInt64Double);
+  return c;
+}
+
+std::unique_ptr<BagOperator> SumDoubleByKey() {
+  return std::make_unique<ReduceByKeyOp>(lang::fns::SumDouble());
+}
+
+TEST(OperatorsTest, ReduceByKeySumDoubleIsTheSortedFoldInAnyChunkOrder) {
+  // Key 1's values are not associative: folded in this (arrival) order
+  // they sum to 3.125, folded in sorted order to 4.0.
+  const double kValues[] = {1e16, 0.125, 1.0, 0.125, -1e16, 3.0, 0.125};
+  double arrival = kValues[0];
+  for (size_t i = 1; i < std::size(kValues); ++i) arrival += kValues[i];
+  ASSERT_EQ(arrival, 3.125);
+
+  const Chunk a = DoubleChunk({{1, 1e16}, {2, 0.5}, {1, 0.125}});
+  const Chunk b = DoubleChunk({{1, 1.0}, {1, 0.125}, {3, -2.0}});
+  const Chunk c = DoubleChunk({{1, -1e16}, {2, 1e16}, {1, 3.0}, {1, 0.125}});
+  const std::vector<Pushes> orders = {
+      {{0, a}, {0, b}, {0, c}},
+      {{0, c}, {0, a}, {0, b}},
+      {{0, b}, {0, c}, {0, a}},
+  };
+  std::vector<DatumVector> sums;
+  for (const Pushes& order : orders) {
+    ExpectTypedMatchesGeneric(SumDoubleByKey, {order}, 1);
+    auto op = SumDoubleByKey();
+    const std::vector<Chunk> out = RunChunks(*op, order, 1);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].rep(), Chunk::Rep::kInt64Double);  // stayed typed
+    DatumVector sorted = Flatten(out);
+    std::sort(sorted.begin(), sorted.end());
+    sums.push_back(std::move(sorted));
+  }
+  ExpectSameBits(sums[0], DoublePairs({{1, 4.0}, {2, 1e16}, {3, -2.0}}));
+  ExpectSameBits(sums[1], sums[0]);
+  ExpectSameBits(sums[2], sums[0]);
+}
+
+TEST(OperatorsTest, ReduceByKeySumDoubleDegradesMidBagAndMatchesGeneric) {
+  ExpectTypedMatchesGeneric(
+      SumDoubleByKey,
+      {// A boxed chunk mid-bag: every buffered value is replayed.
+       {{0, DoubleChunk({{1, 1e16}, {2, 0.25}, {1, 0.125}})},
+        {0, Boxed(DoublePairs({{2, -1.5}, {4, 1.0}}))},
+        {0, DoubleChunk({{1, -1e16}, {1, 1.0}, {5, 0.0}})}},
+       // A string key mid-bag.
+       {{0, DoubleChunk({{1, 0.5}, {2, 2.5}})},
+        {0, Chunk::OfDatums({Datum::Pair(Datum::String("k"), Datum::Double(1)),
+                             Datum::Pair(Datum::Int64(1), Datum::Double(3))})},
+        {0, DoubleChunk({{2, 8.0}})}},
+       // The next bag starts typed again.
+       {{0, DoubleChunk({{7, 1.0}, {7, 1e16}})}}},
+      1);
+}
+
+TEST(OperatorsTest, ReduceByKeySumDoubleHandsNanToTheGenericPath) {
+  ExpectTypedMatchesGeneric(
+      SumDoubleByKey,
+      {{{0, DoubleChunk({{1, 2.0}, {2, 1.0}})},
+        {0, DoubleChunk({{1, std::nan("")}, {2, 3.0}, {1, -1.0}})},
+        {0, DoubleChunk({{1, 5.0}, {3, 0.5}})}}},
+      1);
+}
+
+TEST(OperatorsTest, ReduceByKeySumDoubleKeepsTheSignOfZeroSums) {
+  // All-negative zeros sum to -0.0; any +0.0 makes the sum +0.0, in every
+  // order.
+  const Chunk a = DoubleChunk({{1, -0.0}, {2, -0.0}, {3, 0.0}});
+  const Chunk b = DoubleChunk({{2, 0.0}, {1, -0.0}, {2, -0.0}});
+  for (const Pushes& order :
+       {Pushes{{0, a}, {0, b}}, Pushes{{0, b}, {0, a}}}) {
+    ExpectTypedMatchesGeneric(SumDoubleByKey, {order}, 1);
+    auto op = SumDoubleByKey();
+    DatumVector out = Flatten(RunChunks(*op, order, 1));
+    std::sort(out.begin(), out.end());
+    ExpectSameBits(out, DoublePairs({{1, -0.0}, {2, 0.0}, {3, 0.0}}));
+  }
+}
+
+TEST(OperatorsTest, JoinProbedByInt64DoubleChunksMatchesGeneric) {
+  const Chunk probe = DoubleChunk(
+      {{1, 0.5}, {9, 1.0}, {2, -0.0}, {1, std::nan("")}, {3, 1e16}});
+  // Typed build table.
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<JoinOp>(); },
+      {{{0, Chunk::OfDatums(Pairs({{1, 10}, {2, 20}, {1, 11}}))},
+        {1, probe},
+        {1, DoubleChunk({{2, 4.0}})}}},
+      2);
+  // Boxed build table: nested build values, as PageRank's adjacency.
+  ExpectTypedMatchesGeneric(
+      [] { return std::make_unique<JoinOp>(); },
+      {{{0, Chunk::OfDatums(
+                {Datum::Pair(Datum::Int64(1), Datum::Pair(Datum::Int64(7),
+                                                          Datum::Double(0.5))),
+                 Datum::Pair(Datum::Int64(3), Datum::String("x")),
+                 Datum::Pair(Datum::Int64(1), Datum::Int64(4))})},
+        {1, probe}}},
+      2);
 }
 
 TEST(OperatorsTest, Int64SlotIndexHandsOutDenseSlotsInFirstSeenOrder) {
